@@ -180,13 +180,13 @@ func chaosCmd(args []string) {
 				"migration_probes":    srvReg.Counter("ep.migration.probes").Value(),
 				"migration_completed": srvReg.Counter("ep.migration.completed").Value(),
 				"migration_failed":    srvReg.Counter("ep.migration.failed").Value(),
-				"bad_feedback":        srvReg.Counter("ep.bad_feedback").Value(),
 				"synack_retransmits":  srvReg.Counter("ep.synack_retransmits").Value(),
 			},
 			"client": map[string]int64{
 				"syn_retransmits": cliReg.Counter("snd.syn_retransmits").Value(),
 				"rx_corrupt":      cliReg.Counter("ep.rx_corrupt").Value(),
 				"rx_garbage":      cliReg.Counter("ep.rx_garbage").Value(),
+				"bad_feedback":    cliReg.Counter("snd.bad_feedback").Value(),
 			},
 		}
 		enc := json.NewEncoder(os.Stdout)
@@ -201,13 +201,12 @@ func chaosCmd(args []string) {
 	}
 	fmt.Printf("  proxy to-server: %+v\n", up)
 	fmt.Printf("  proxy to-client: %+v (rebinds %d)\n", down, proxy.Rebinds())
-	fmt.Printf("  server: rx_corrupt=%d rx_garbage=%d migration_rejected=%d bad_feedback=%d synack_retx=%d\n",
+	fmt.Printf("  server: rx_corrupt=%d rx_garbage=%d migration_rejected=%d synack_retx=%d\n",
 		srvReg.Counter("ep.rx_corrupt").Value(), srvReg.Counter("ep.rx_garbage").Value(),
-		srvReg.Counter("ep.migration_rejected").Value(), srvReg.Counter("ep.bad_feedback").Value(),
-		srvReg.Counter("ep.synack_retransmits").Value())
-	fmt.Printf("  client: syn_retx=%d rx_corrupt=%d rx_garbage=%d\n",
+		srvReg.Counter("ep.migration_rejected").Value(), srvReg.Counter("ep.synack_retransmits").Value())
+	fmt.Printf("  client: syn_retx=%d rx_corrupt=%d rx_garbage=%d bad_feedback=%d\n",
 		cliReg.Counter("snd.syn_retransmits").Value(), cliReg.Counter("ep.rx_corrupt").Value(),
-		cliReg.Counter("ep.rx_garbage").Value())
+		cliReg.Counter("ep.rx_garbage").Value(), cliReg.Counter("snd.bad_feedback").Value())
 	if proxy.Rebinds() > 0 {
 		fmt.Printf("  migration: probes=%d completed=%d failed=%d pre-rebind %.0f pkt/s post-rebind %.0f pkt/s\n",
 			srvReg.Counter("ep.migration.probes").Value(),

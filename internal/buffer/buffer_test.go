@@ -87,10 +87,14 @@ func TestMarkLossSkipsStaleReports(t *testing.T) {
 }
 
 func TestMarkLossStreamOrder(t *testing.T) {
+	// Retransmissions give early bytes later packet numbers, so packet
+	// order (300, 0, 100) differs from stream order.
 	b := NewSendBuffer()
+	b.Insert(seg(0, 100, 1))
+	b.Insert(seg(100, 100, 2))
 	b.Insert(seg(300, 100, 4))
-	b.Insert(seg(0, 100, 5))
-	b.Insert(seg(100, 100, 6))
+	b.Retransmitted(b.ByPktSeq(1), 5, 0)
+	b.Retransmitted(b.ByPktSeq(2), 6, 0)
 	marked := b.MarkLossByPktRanges([]seqspace.Range{{Lo: 4, Hi: 7}})
 	if len(marked) != 3 || marked[0].Seq != 0 || marked[1].Seq != 100 || marked[2].Seq != 300 {
 		t.Fatalf("marked order wrong: %v", marked)

@@ -41,43 +41,39 @@ type Segment struct {
 	lastRetx    sim.Time // last retransmission time (for the once-per-RTT rule)
 	hasRetx     bool
 	released    bool // removed from the buffer (acknowledged)
-	// deliveredAtSend snapshots the buffer's released-bytes counter at the
-	// segment's (re)transmission, anchoring BBR-style delivery-rate
-	// samples: rate = (released_now − deliveredAtSend) / (now − SentAt).
-	deliveredAtSend int64
 }
 
 // End returns the byte offset one past the segment.
 func (s *Segment) End() uint64 { return s.Seq + uint64(s.Len) }
 
-// SendBuffer tracks unacknowledged segments, indexed both by byte sequence
-// and by the packet number of their latest transmission.
+// SendBuffer tracks unacknowledged segments in two send-order queues.
 type SendBuffer struct {
-	bySeq map[uint64]*Segment // keyed by Seq
-	byPkt map[uint64]*Segment // keyed by current PktSeq
-	// order holds Seq values in insertion (stream) order; entries released
-	// out of order (selective acks) go stale and are skipped on iteration.
-	// head indexes the first potentially-live entry, advancing as the
-	// cumulative ack moves, so per-ack processing is amortized O(released).
-	order []uint64
-	head  int
+	// segs holds segments in stream (Seq) order, appended as they are
+	// first sent. An entry is dead once released; the dead prefix is
+	// dropped as acknowledgments advance, so the head is the oldest
+	// unacknowledged segment.
+	segs []*Segment
+
+	// pkts[i] is the segment sent as packet number pktBase+i. Packet
+	// numbers are minted densely in send order, so the queue is also the
+	// transmission-time order RACK walks. A slot is live while its segment
+	// is unreleased and still carries that number (a retransmission
+	// supersedes it); the dead prefix is dropped as acknowledgments
+	// advance, so pktBase is the oldest outstanding packet number. Every
+	// lookup and range walk is clamped to [pktBase, pktBase+len(pkts)):
+	// a peer-chosen packet number costs nothing beyond the live window.
+	pkts    []*Segment
+	pktBase uint64
+	// rackNext is where ScanRackLosses resumes: every slot below it is
+	// dead or already loss-marked.
+	rackNext uint64
+
+	live  int // unacked segments
 	bytes int // unacked payload bytes
 
-	// oldestFloor is a monotone lower bound for OldestPktSeq: packet
-	// numbers are never reused, so the scan resumes where it left off.
-	oldestFloor uint64
-
 	// releasedBytes counts payload bytes ever acknowledged (cumulatively or
-	// selectively) — the sender-side delivered-data counter BBR-style rate
-	// sampling needs (cumack jumps after hole repairs must not look like
-	// delivery-rate spikes).
+	// selectively) — the sender-side delivered-data counter.
 	releasedBytes int64
-
-	// Delivery-rate sample anchor: the most recently *sent* segment
-	// released in the current acknowledgment batch.
-	rateValid           bool
-	rateSentAt          sim.Time
-	rateDeliveredAtSend int64
 
 	// marked tracks loss-marked segments in ascending Seq order so hot
 	// paths never scan or sort the whole buffer. Entries go stale when a
@@ -85,14 +81,6 @@ type SendBuffer struct {
 	// counts the rest and compaction runs only when stale entries dominate.
 	marked     []*Segment
 	markedLive int
-
-	// tsorted is the transmission-time-ordered scan list RACK loss
-	// detection walks: one entry per (re)transmission, appended in send
-	// order (send times are monotone within a connection), consumed as a
-	// prefix. An entry goes stale when its segment was released, was
-	// retransmitted since (SentAt moved), or is already loss-marked.
-	tsorted []tsEntry
-	tsHead  int
 
 	// RACK delivery state: the most recently *transmitted* segment ever
 	// acknowledged — RFC 8985's (RACK.xmit_ts, RACK.end_seq) pair, keyed
@@ -123,45 +111,41 @@ type SendBuffer struct {
 	OnRelease func(*Segment)
 }
 
-// tsEntry pins a segment at one transmission time in the time-ordered
-// RACK scan list.
-type tsEntry struct {
-	seg    *Segment
-	sentAt sim.Time
-}
-
-// live reports whether the entry still describes its segment's current,
-// unacknowledged, unmarked transmission.
-func (e tsEntry) live() bool {
-	return !e.seg.released && !e.seg.LossMarked && e.seg.SentAt == e.sentAt
-}
-
 // NewSendBuffer returns an empty send buffer.
-func NewSendBuffer() *SendBuffer {
-	return &SendBuffer{
-		bySeq: make(map[uint64]*Segment),
-		byPkt: make(map[uint64]*Segment),
+func NewSendBuffer() *SendBuffer { return &SendBuffer{} }
+
+// Insert registers a freshly transmitted segment. Segments arrive in
+// stream order and packet numbers never repeat.
+func (b *SendBuffer) Insert(seg *Segment) {
+	if n := len(b.segs); n > 0 && seg.Seq < b.segs[n-1].End() {
+		panic("buffer: segment inserted out of stream order")
 	}
+	b.segs = append(b.segs, seg)
+	b.live++
+	b.bytes += seg.Len
+	b.addPkt(seg)
 }
 
-// Insert registers a freshly transmitted segment.
-func (b *SendBuffer) Insert(seg *Segment) {
-	if _, dup := b.bySeq[seg.Seq]; dup {
-		panic("buffer: duplicate segment insert")
+// addPkt files seg under its current packet number at the tail of the
+// packet-number queue; numbers skipped by the caller stay empty slots.
+func (b *SendBuffer) addPkt(seg *Segment) {
+	end := b.pktBase + uint64(len(b.pkts))
+	if seg.PktSeq < end {
+		panic("buffer: packet number reused")
 	}
-	seg.deliveredAtSend = b.releasedBytes
-	b.bySeq[seg.Seq] = seg
-	b.byPkt[seg.PktSeq] = seg
-	b.order = append(b.order, seg.Seq)
-	b.bytes += seg.Len
-	b.tsorted = append(b.tsorted, tsEntry{seg: seg, sentAt: seg.SentAt})
+	if len(b.pkts) == 0 {
+		b.pktBase, end = seg.PktSeq, seg.PktSeq
+	}
+	for ; end < seg.PktSeq; end++ {
+		b.pkts = append(b.pkts, nil)
+	}
+	b.pkts = append(b.pkts, seg)
 }
 
 // Retransmitted updates a segment's packet number after it was re-sent:
-// the old PKT.SEQ mapping is dropped (paper §5.1: "the PKT.SEQ ... be
-// always replaced and updated by the latest PKT.SEQ").
+// the old PKT.SEQ slot goes dead (paper §5.1: "the PKT.SEQ ... be always
+// replaced and updated by the latest PKT.SEQ").
 func (b *SendBuffer) Retransmitted(seg *Segment, newPktSeq uint64, now sim.Time) {
-	delete(b.byPkt, seg.PktSeq)
 	seg.PktSeq = newPktSeq
 	seg.SentAt = now
 	seg.Retransmits++
@@ -171,9 +155,8 @@ func (b *SendBuffer) Retransmitted(seg *Segment, newPktSeq uint64, now sim.Time)
 	}
 	seg.lastRetx = now
 	seg.hasRetx = true
-	seg.deliveredAtSend = b.releasedBytes
-	b.byPkt[newPktSeq] = seg
-	b.tsorted = append(b.tsorted, tsEntry{seg: seg, sentAt: now})
+	b.addPkt(seg)
+	b.dropDead()
 }
 
 // MayRetransmit reports whether the once-per-RTT retransmission rule allows
@@ -185,40 +168,69 @@ func (b *SendBuffer) MayRetransmit(seg *Segment, now sim.Time, rtt sim.Time) boo
 
 // ByPktSeq returns the segment whose most recent transmission used pktSeq,
 // or nil (e.g. the report refers to a superseded transmission).
-func (b *SendBuffer) ByPktSeq(pktSeq uint64) *Segment { return b.byPkt[pktSeq] }
+func (b *SendBuffer) ByPktSeq(pktSeq uint64) *Segment {
+	if pktSeq < b.pktBase || pktSeq-b.pktBase >= uint64(len(b.pkts)) {
+		return nil
+	}
+	seg := b.pkts[pktSeq-b.pktBase]
+	if seg == nil || seg.released || seg.PktSeq != pktSeq {
+		return nil
+	}
+	return seg
+}
 
-// BySeq returns the segment starting at byte offset seq, or nil.
-func (b *SendBuffer) BySeq(seq uint64) *Segment { return b.bySeq[seq] }
+// eachPkt calls fn on the live segment of every packet number in [lo, hi)
+// that the queue holds.
+func (b *SendBuffer) eachPkt(lo, hi uint64, fn func(*Segment)) {
+	lo, hi = max(lo, b.pktBase), min(hi, b.pktBase+uint64(len(b.pkts)))
+	for ; lo < hi; lo++ {
+		if seg := b.ByPktSeq(lo); seg != nil {
+			fn(seg)
+		}
+	}
+}
+
+// dropDead drops the dead prefix of both queues.
+func (b *SendBuffer) dropDead() {
+	i := 0
+	for i < len(b.segs) && b.segs[i].released {
+		i++
+	}
+	b.segs = dropPrefix(b.segs, i)
+	i = 0
+	for i < len(b.pkts) && b.ByPktSeq(b.pktBase+uint64(i)) == nil {
+		i++
+	}
+	b.pkts = dropPrefix(b.pkts, i)
+	b.pktBase += uint64(i)
+}
+
+// dropPrefix clears and drops the first n entries of q. A drained queue
+// restarts at the front of its remaining storage.
+func dropPrefix(q []*Segment, n int) []*Segment {
+	clear(q[:n])
+	if n == len(q) {
+		return q[:0]
+	}
+	return q[n:]
+}
 
 // AckBytes removes every segment fully below cumAck (cumulative byte
-// acknowledgment) and returns the number of segments released. Because
-// order ascends in Seq, the release is a prefix: amortized O(released).
+// acknowledgment) and returns the number of segments released. The
+// release is a prefix of the stream-order queue: amortized O(released).
 func (b *SendBuffer) AckBytes(cumAck uint64) int {
 	released := 0
-	for b.head < len(b.order) {
-		seq := b.order[b.head]
-		seg, ok := b.bySeq[seq]
-		if !ok {
-			b.head++ // released earlier via selective ack
-			continue
-		}
+	for _, seg := range b.segs {
 		if seg.End() > cumAck {
 			break
 		}
-		b.release(seg)
-		released++
-		b.head++
+		if !seg.released {
+			b.release(seg)
+			released++
+		}
 	}
-	b.maybeCompactOrder()
+	b.dropDead()
 	return released
-}
-
-// maybeCompactOrder reclaims the consumed prefix once it dominates.
-func (b *SendBuffer) maybeCompactOrder() {
-	if b.head > 1024 && b.head*2 > len(b.order) {
-		b.order = append(b.order[:0:0], b.order[b.head:]...)
-		b.head = 0
-	}
 }
 
 // AckPktRanges removes segments whose current packet number lies in any of
@@ -226,38 +238,28 @@ func (b *SendBuffer) maybeCompactOrder() {
 func (b *SendBuffer) AckPktRanges(ranges []seqspace.Range) int {
 	released := 0
 	for _, r := range ranges {
-		// Iterate the smaller side: for narrow ranges walk the range,
-		// otherwise scan the map.
-		if r.Len() <= uint64(len(b.byPkt)) {
-			for pkt := r.Lo; pkt < r.Hi; pkt++ {
-				if seg, ok := b.byPkt[pkt]; ok {
-					b.release(seg)
-					released++
-				}
-			}
-		} else {
-			for pkt, seg := range b.byPkt {
-				if r.Contains(pkt) {
-					b.release(seg)
-					released++
-				}
-			}
-		}
+		b.eachPkt(r.Lo, r.Hi, func(seg *Segment) {
+			b.release(seg)
+			released++
+		})
 	}
-	// Released entries go stale in order and are skipped on iteration.
+	b.dropDead()
 	return released
 }
 
+// ReleasePktBelow removes every segment whose current packet number is
+// below cum: the receiver's cumulative packet number guarantees all of them
+// were received (possibly crowded out of the selective-ack block budget).
+// The walk starts at the oldest outstanding number, so it is amortized
+// O(1) per packet number ever used.
+func (b *SendBuffer) ReleasePktBelow(cum uint64) int {
+	return b.AckPktRanges([]seqspace.Range{{Lo: 0, Hi: cum}})
+}
+
 func (b *SendBuffer) release(seg *Segment) {
-	delete(b.bySeq, seg.Seq)
-	delete(b.byPkt, seg.PktSeq)
+	b.live--
 	b.bytes -= seg.Len
 	b.releasedBytes += int64(seg.Len)
-	if !b.rateValid || seg.SentAt >= b.rateSentAt {
-		b.rateValid = true
-		b.rateSentAt = seg.SentAt
-		b.rateDeliveredAtSend = seg.deliveredAtSend
-	}
 	// Reordering evidence, judged before the mark is cleared below. Only
 	// original transmissions count: a retransmission acked late proves
 	// nothing about network ordering.
@@ -302,12 +304,12 @@ func (b *SendBuffer) release(seg *Segment) {
 func (b *SendBuffer) MarkLossByPktRanges(ranges []seqspace.Range) []*Segment {
 	var marked []*Segment
 	for _, r := range ranges {
-		for pkt := r.Lo; pkt < r.Hi; pkt++ {
-			if seg, ok := b.byPkt[pkt]; ok && !seg.LossMarked {
+		b.eachPkt(r.Lo, r.Hi, func(seg *Segment) {
+			if !seg.LossMarked {
 				b.MarkLoss(seg)
 				marked = append(marked, seg)
 			}
-		}
+		})
 	}
 	sort.Slice(marked, func(i, j int) bool { return marked[i].Seq < marked[j].Seq })
 	return marked
@@ -349,17 +351,6 @@ func (b *SendBuffer) compactMarked() {
 	b.marked = kept
 }
 
-// LossMarked returns all segments currently flagged lost, in stream order.
-func (b *SendBuffer) LossMarked() []*Segment {
-	out := make([]*Segment, 0, b.markedLive)
-	for _, seg := range b.marked {
-		if markedEntryLive(seg) {
-			out = append(out, seg)
-		}
-	}
-	return out
-}
-
 // HasMarked reports whether any segment is flagged lost.
 func (b *SendBuffer) HasMarked() bool { return b.markedLive > 0 }
 
@@ -396,11 +387,19 @@ func (b *SendBuffer) ForEachEligibleRetransmit(now, rtt sim.Time, fn func(*Segme
 
 // Oldest returns the unacked segment with the lowest byte offset, or nil.
 func (b *SendBuffer) Oldest() *Segment {
-	for b.head < len(b.order) {
-		if seg, ok := b.bySeq[b.order[b.head]]; ok {
-			return seg
+	if len(b.segs) == 0 {
+		return nil
+	}
+	return b.segs[0]
+}
+
+// Newest returns the unacked segment with the highest byte offset (the
+// tail a TLP probe retransmits), or nil when nothing is outstanding.
+func (b *SendBuffer) Newest() *Segment {
+	for i := len(b.segs) - 1; i >= 0; i-- {
+		if !b.segs[i].released {
+			return b.segs[i]
 		}
-		b.head++
 	}
 	return nil
 }
@@ -408,20 +407,21 @@ func (b *SendBuffer) Oldest() *Segment {
 // Bytes returns the total unacknowledged payload bytes.
 func (b *SendBuffer) Bytes() int { return b.bytes }
 
+// Len returns the number of unacknowledged segments.
+func (b *SendBuffer) Len() int { return b.live }
+
 // ReleasedBytes returns the cumulative payload bytes acknowledged
 // (cumulatively or selectively) since the buffer was created.
 func (b *SendBuffer) ReleasedBytes() int64 { return b.releasedBytes }
 
-// BeginRateSample resets the delivery-rate anchor and snapshots the RACK
-// delivery state for reorder detection; call before processing one
-// acknowledgment's releases. now is the ack's arrival time and rttFloor
-// the path's minimum RTT (0 disables the check): together they
-// disambiguate acks of retransmitted segments — a release whose implied
-// RTT is below the floor was a delivery of an *earlier* transmission, so
-// its retransmit timestamp must not advance the RACK clock (RFC 8985
-// §6.2 step 2).
+// BeginRateSample snapshots the RACK delivery state for reorder detection;
+// call before processing one acknowledgment's releases. now is the ack's
+// arrival time and rttFloor the path's minimum RTT (0 disables the check):
+// together they disambiguate acks of retransmitted segments — a release
+// whose implied RTT is below the floor was a delivery of an *earlier*
+// transmission, so its retransmit timestamp must not advance the RACK
+// clock (RFC 8985 §6.2 step 2).
 func (b *SendBuffer) BeginRateSample(now, rttFloor sim.Time) {
-	b.rateValid = false
 	b.ackNow, b.ackRTTFloor = now, rttFloor
 	if b.rackValid {
 		b.batchRackPkt = b.rackPktSeq
@@ -441,122 +441,34 @@ func (b *SendBuffer) RackState() (xmitTime sim.Time, pktSeq uint64, ok bool) {
 // react to fresh evidence.
 func (b *SendBuffer) ReorderEvents() int64 { return b.reorders }
 
-// ScanRackLosses walks unacknowledged segments in transmission-time order,
-// visiting only those sent before the RACK most-recently-delivered
-// transmission (cutoff/cutoffPkt): strictly earlier send times qualify, and
-// timestamp ties — a paced burst emits many segments at one instant — break
-// by packet number like RFC 8985 breaks them by sequence, so the unacked
-// tail of the very burst the delivered segment came from is not mistaken
-// for "older than delivered". fn returns true when it marked the segment
-// lost (the entry is consumed); returning false stops the walk — every
-// later entry was sent even more recently, so its loss deadline is further
-// out. The returned sentAt/pending report the first un-marked candidate's
-// transmission time so the caller can arm a reorder-window re-check timer.
+// ScanRackLosses walks unacknowledged, unmarked segments in transmission
+// order (the packet-number queue), visiting only those sent before the
+// RACK most-recently-delivered transmission (cutoff/cutoffPkt): strictly
+// earlier send times qualify, and timestamp ties — a paced burst emits
+// many segments at one instant — break by packet number like RFC 8985
+// breaks them by sequence, so the unacked tail of the very burst the
+// delivered segment came from is not mistaken for "older than delivered".
+// fn returns true when it marked the segment lost (the slot is consumed; a
+// retransmission files the segment under a fresh number); returning false
+// stops the walk — every later slot was sent even more recently, so its
+// loss deadline is further out. The returned sentAt/pending report the
+// first un-marked candidate's transmission time so the caller can arm a
+// reorder-window re-check timer.
 func (b *SendBuffer) ScanRackLosses(cutoff sim.Time, cutoffPkt uint64, fn func(*Segment) bool) (sentAt sim.Time, pending bool) {
-	for b.tsHead < len(b.tsorted) {
-		e := b.tsorted[b.tsHead]
-		if !e.live() {
-			b.tsorted[b.tsHead] = tsEntry{} // release the *Segment
-			b.tsHead++
+	b.rackNext = max(b.rackNext, b.pktBase)
+	for end := b.pktBase + uint64(len(b.pkts)); b.rackNext < end; b.rackNext++ {
+		seg := b.ByPktSeq(b.rackNext)
+		if seg == nil || seg.LossMarked {
 			continue
 		}
-		// Entries order by (sentAt, PktSeq), so the first non-candidate ends
-		// the candidate prefix.
-		if e.sentAt > cutoff || (e.sentAt == cutoff && e.seg.PktSeq >= cutoffPkt) {
+		if seg.SentAt > cutoff || (seg.SentAt == cutoff && seg.PktSeq >= cutoffPkt) {
 			return 0, false
 		}
-		if !fn(e.seg) {
-			return e.sentAt, true
+		if !fn(seg) {
+			return seg.SentAt, true
 		}
-		// fn marked the segment: the entry is stale now (LossMarked), and
-		// a future retransmission re-appends it with a fresh timestamp.
-		b.tsorted[b.tsHead] = tsEntry{}
-		b.tsHead++
 	}
-	b.maybeCompactTsorted()
 	return 0, false
-}
-
-// maybeCompactTsorted reclaims the consumed prefix once it dominates.
-func (b *SendBuffer) maybeCompactTsorted() {
-	if b.tsHead > 1024 && b.tsHead*2 > len(b.tsorted) {
-		b.tsorted = append(b.tsorted[:0:0], b.tsorted[b.tsHead:]...)
-		b.tsHead = 0
-	}
-}
-
-// Newest returns the unacked segment with the highest byte offset (the
-// tail a TLP probe retransmits), or nil when nothing is outstanding.
-func (b *SendBuffer) Newest() *Segment {
-	for i := len(b.order) - 1; i >= b.head; i-- {
-		if seg, ok := b.bySeq[b.order[i]]; ok {
-			return seg
-		}
-	}
-	return nil
-}
-
-// RateSample returns a BBR-style delivery-rate sample for the releases
-// since BeginRateSample: delivered bytes over the send-anchored interval.
-// ok is false when nothing was released or the interval is degenerate.
-func (b *SendBuffer) RateSample(now sim.Time) (bps float64, ok bool) {
-	if !b.rateValid || now <= b.rateSentAt {
-		return 0, false
-	}
-	bytes := b.releasedBytes - b.rateDeliveredAtSend
-	if bytes <= 0 {
-		return 0, false
-	}
-	return float64(bytes) * 8 / (now - b.rateSentAt).Seconds(), true
-}
-
-// Len returns the number of unacknowledged segments.
-func (b *SendBuffer) Len() int { return len(b.bySeq) }
-
-// NextRetransmitTime returns the earliest time any loss-marked segment
-// becomes eligible under the once-per-RTT rule; ok is false when nothing is
-// marked.
-func (b *SendBuffer) NextRetransmitTime(rtt sim.Time) (sim.Time, bool) {
-	if b.markedLive == 0 {
-		return 0, false
-	}
-	b.compactMarked()
-	var best sim.Time
-	found := false
-	for _, seg := range b.marked {
-		if !markedEntryLive(seg) {
-			continue
-		}
-		at := sim.Time(0)
-		if seg.hasRetx {
-			at = seg.lastRetx + rtt
-		}
-		if !found || at < best {
-			best = at
-			found = true
-		}
-		if at == 0 {
-			break // cannot beat "eligible now"
-		}
-	}
-	return best, found
-}
-
-// ReleasePktBelow removes every segment whose current packet number is
-// below cum: the receiver's cumulative packet number guarantees all of them
-// were received (possibly crowded out of the selective-ack block budget).
-// The scan is monotone from the oldest floor, so it is amortized O(1) per
-// packet number ever used.
-func (b *SendBuffer) ReleasePktBelow(cum uint64) int {
-	released := 0
-	for b.oldestFloor < cum {
-		if seg, ok := b.byPkt[b.oldestFloor]; ok {
-			b.release(seg)
-			released++
-		}
-		b.oldestFloor++
-	}
-	return released
 }
 
 // OldestPktSeq returns the smallest packet number among the current
@@ -564,26 +476,18 @@ func (b *SendBuffer) ReleasePktBelow(cum uint64) int {
 // returns next (the sender's next packet number). Every number below the
 // result is dead: acknowledged or superseded by a retransmission.
 func (b *SendBuffer) OldestPktSeq(next uint64) uint64 {
-	if len(b.byPkt) == 0 {
+	if len(b.pkts) == 0 {
 		return next
 	}
-	for b.oldestFloor < next {
-		if _, ok := b.byPkt[b.oldestFloor]; ok {
-			return b.oldestFloor
-		}
-		b.oldestFloor++
-	}
-	return next
+	return b.pktBase
 }
 
 // Walk calls fn on every unacked segment in stream order; fn returning
 // false stops the walk.
 func (b *SendBuffer) Walk(fn func(*Segment) bool) {
-	for _, seq := range b.order[b.head:] {
-		if seg, ok := b.bySeq[seq]; ok {
-			if !fn(seg) {
-				return
-			}
+	for _, seg := range b.segs {
+		if !seg.released && !fn(seg) {
+			return
 		}
 	}
 }

@@ -119,60 +119,6 @@ func TestForEachEligibleRetransmit(t *testing.T) {
 	}
 }
 
-func TestNextRetransmitTimeEdges(t *testing.T) {
-	b := NewSendBuffer()
-	rtt := 100 * sim.Millisecond
-	if _, ok := b.NextRetransmitTime(rtt); ok {
-		t.Fatal("empty buffer should have no retransmit time")
-	}
-	b.Insert(seg(0, 10, 1))
-	b.MarkLoss(b.ByPktSeq(1))
-	at, ok := b.NextRetransmitTime(rtt)
-	if !ok || at != 0 {
-		t.Fatalf("never-retransmitted mark should be eligible now: %v,%v", at, ok)
-	}
-	b.Retransmitted(b.ByPktSeq(1), 2, 30*sim.Millisecond)
-	b.MarkLoss(b.ByPktSeq(2))
-	at, ok = b.NextRetransmitTime(rtt)
-	if !ok || at != 130*sim.Millisecond {
-		t.Fatalf("cooldown end = %v,%v want 130ms", at, ok)
-	}
-}
-
-func TestRateSample(t *testing.T) {
-	b := NewSendBuffer()
-	s1 := seg(0, 1000, 1)
-	s1.SentAt = 10 * sim.Millisecond
-	b.Insert(s1)
-	s2 := seg(1000, 1000, 2)
-	s2.SentAt = 20 * sim.Millisecond
-	b.Insert(s2)
-
-	b.BeginRateSample(0, 0)
-	if _, ok := b.RateSample(30 * sim.Millisecond); ok {
-		t.Fatal("no releases: no sample")
-	}
-	b.AckBytes(2000)
-	bps, ok := b.RateSample(30 * sim.Millisecond)
-	if !ok {
-		t.Fatal("expected a sample")
-	}
-	// Anchor is s2 (latest SentAt=20ms, deliveredAtSend=0): 2000 B over
-	// 10 ms = 1.6 Mbit/s.
-	if bps < 1.59e6 || bps > 1.61e6 {
-		t.Fatalf("rate = %v, want ~1.6e6", bps)
-	}
-	// Degenerate interval rejected.
-	b.BeginRateSample(0, 0)
-	s3 := seg(2000, 1000, 3)
-	s3.SentAt = 40 * sim.Millisecond
-	b.Insert(s3)
-	b.AckBytes(3000)
-	if _, ok := b.RateSample(40 * sim.Millisecond); ok {
-		t.Fatal("zero-elapsed sample must be rejected")
-	}
-}
-
 func TestMaybeCompactOrder(t *testing.T) {
 	b := NewSendBuffer()
 	for i := uint64(0); i < 3000; i++ {
@@ -182,13 +128,42 @@ func TestMaybeCompactOrder(t *testing.T) {
 	if b.Len() != 0 {
 		t.Fatalf("Len = %d after full ack", b.Len())
 	}
-	// Order slice must have been compacted (head reset).
-	if len(b.order) != 0 && b.head != 0 {
-		t.Fatalf("order not compacted: len=%d head=%d", len(b.order), b.head)
+	// Both queues must have dropped their dead prefix.
+	if len(b.segs) != 0 || len(b.pkts) != 0 || b.pktBase != 3000 {
+		t.Fatalf("queues not drained: segs=%d pkts=%d pktBase=%d", len(b.segs), len(b.pkts), b.pktBase)
 	}
 	// Buffer remains usable.
 	b.Insert(seg(1<<20, 10, 9999))
-	if b.Oldest() == nil {
-		t.Fatal("buffer unusable after compaction")
+	if b.Oldest() == nil || b.ByPktSeq(9999) == nil {
+		t.Fatal("buffer unusable after draining")
+	}
+}
+
+func TestPeerChosenPacketNumbersAreClamped(t *testing.T) {
+	// Ranges reaching far past anything sent must cost no more than the
+	// live window and touch nothing outside it.
+	const huge = uint64(1) << 62
+	b := NewSendBuffer()
+	for i := uint64(0); i < 4; i++ {
+		b.Insert(seg(i*10, 10, i))
+	}
+	if got := b.ByPktSeq(huge); got != nil {
+		t.Fatalf("ByPktSeq(2^62) = %+v", got)
+	}
+	if marked := b.MarkLossByPktRanges([]seqspace.Range{{Lo: 2, Hi: huge}}); len(marked) != 2 {
+		t.Fatalf("marked %d segments, want 2", len(marked))
+	}
+	if n := b.AckPktRanges([]seqspace.Range{{Lo: 3, Hi: huge}}); n != 1 {
+		t.Fatalf("AckPktRanges released %d, want 1", n)
+	}
+	if n := b.ReleasePktBelow(huge); n != 3 {
+		t.Fatalf("ReleasePktBelow released %d, want 3", n)
+	}
+	if got := b.OldestPktSeq(4); got != 4 {
+		t.Fatalf("OldestPktSeq = %d, want 4", got)
+	}
+	b.Insert(seg(40, 10, 4))
+	if b.ByPktSeq(4) == nil || b.OldestPktSeq(5) != 4 {
+		t.Fatal("buffer unusable after hostile ranges")
 	}
 }

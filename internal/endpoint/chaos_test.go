@@ -167,13 +167,12 @@ func TestEndpointChaosSoak(t *testing.T) {
 		t.Errorf("server conn count %d after close, want 0", n)
 	}
 	t.Logf("soak done: %d conns × %d B; to-server %+v; to-client %+v", nConns, size, up, down)
-	t.Logf("server: rx_corrupt=%d rx_garbage=%d demux_drops=%d bad_feedback=%d synack_retx=%d",
+	t.Logf("server: rx_corrupt=%d rx_garbage=%d demux_drops=%d synack_retx=%d",
 		srvReg.Counter("ep.rx_corrupt").Value(), srvReg.Counter("ep.rx_garbage").Value(),
-		srvReg.Counter("ep.demux_drops").Value(), srvReg.Counter("ep.bad_feedback").Value(),
-		srvReg.Counter("ep.synack_retransmits").Value())
-	t.Logf("client: syn_retx=%d rx_corrupt=%d rx_garbage=%d",
+		srvReg.Counter("ep.demux_drops").Value(), srvReg.Counter("ep.synack_retransmits").Value())
+	t.Logf("client: syn_retx=%d rx_corrupt=%d rx_garbage=%d bad_feedback=%d",
 		cliReg.Counter("snd.syn_retransmits").Value(), cliReg.Counter("ep.rx_corrupt").Value(),
-		cliReg.Counter("ep.rx_garbage").Value())
+		cliReg.Counter("ep.rx_garbage").Value(), cliReg.Counter("snd.bad_feedback").Value())
 	leakCheck(t, before)
 }
 

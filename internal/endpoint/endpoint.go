@@ -322,7 +322,6 @@ type Endpoint struct {
 	mMigFailed         *telemetry.Counter
 	mSynackRetrans     *telemetry.Counter
 	mAcceptDrops       *telemetry.Counter
-	mBadFeedback       *telemetry.Counter
 	mReaped            *telemetry.Counter
 	mDials             *telemetry.Counter
 	mAccepts           *telemetry.Counter
@@ -417,7 +416,6 @@ func Listen(laddr string, cfg Config) (*Endpoint, error) {
 	ep.mMigFailed = reg.Counter("ep.migration.failed")
 	ep.mSynackRetrans = reg.Counter("ep.synack_retransmits")
 	ep.mAcceptDrops = reg.Counter("ep.accept_drops")
-	ep.mBadFeedback = reg.Counter("ep.bad_feedback")
 	ep.mReaped = reg.Counter("ep.reaped")
 	ep.mDials = reg.Counter("ep.dials")
 	ep.mAccepts = reg.Counter("ep.accepts")

@@ -13,84 +13,79 @@ import (
 	"github.com/tacktp/tack/internal/transport"
 )
 
-// TestUDPRunnerLoopbackTransfer exercises the sans-IO engine over real UDP
-// sockets on loopback: a bounded TACK-mode stream must complete and deliver
-// every byte. (Migrated from the old transport.UDPRunner to the
-// options-based constructor.)
-func TestUDPRunnerLoopbackTransfer(t *testing.T) {
-	const size = 256 << 10
-	cfgR := transport.Config{Mode: transport.ModeTACK, TransferBytes: size}
-	rcv, err := NewUDPRunner(cfgR, RoleReceiver, WithLocalAddr("127.0.0.1:0"))
+// loopbackTransfer runs one bounded transfer between two endpoints over
+// real UDP sockets on loopback — the server accepts with rcfg, the client
+// dials with scfg — and checks that every byte is delivered.
+func loopbackTransfer(t *testing.T, scfg, rcfg transport.Config) {
+	t.Helper()
+	srv, err := Listen("127.0.0.1:0", Config{Transport: rcfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rcv.Close()
-
-	cfgS := transport.Config{Mode: transport.ModeTACK, TransferBytes: size, CC: "cubic"}
-	snd, err := NewUDPRunner(cfgS, RoleSender, WithLocalAddr("127.0.0.1:0"), WithPeer(rcv.LocalAddr().String()))
+	defer srv.Close()
+	cli, err := Listen("127.0.0.1:0", Config{Transport: scfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer snd.Close()
+	defer cli.Close()
 
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var rcvErr error
+	accepted := make(chan *Conn, 1)
 	go func() {
-		defer wg.Done()
-		rcvErr = rcv.Run(20 * time.Second)
+		c, err := srv.AcceptTimeout(20 * time.Second)
+		if err != nil {
+			t.Errorf("accept: %v", err)
+		}
+		accepted <- c
 	}()
-	if err := snd.Run(20 * time.Second); err != nil {
+	c, err := cli.Dial(srv.LocalAddr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	if err := c.Wait(20 * time.Second); err != nil {
 		t.Fatalf("sender: %v", err)
 	}
-	wg.Wait()
-	if rcvErr != nil {
-		t.Fatalf("receiver: %v", rcvErr)
-	}
-	if got := rcv.Receiver.Delivered(); got != size {
-		t.Fatalf("delivered %d, want %d", got, size)
-	}
-	if !snd.Sender.Done() {
+	if !c.Sender().Done() {
 		t.Fatal("sender did not finish")
+	}
+	sc := <-accepted
+	if sc == nil {
+		t.FailNow()
+	}
+	if err := sc.Wait(20 * time.Second); err != nil {
+		t.Fatalf("receiver: %v", err)
+	}
+	if got := sc.Receiver().Delivered(); got != rcfg.TransferBytes {
+		t.Fatalf("delivered %d, want %d", got, rcfg.TransferBytes)
 	}
 }
 
-// TestUDPRunnerLegacyMode runs the same loopback transfer in legacy mode,
-// through the options-based constructor.
-func TestUDPRunnerLegacyMode(t *testing.T) {
-	const size = 128 << 10
-	cfg := transport.Config{Mode: transport.ModeLegacy, TransferBytes: size}
-	rcv, err := NewUDPRunner(cfg, RoleReceiver, WithLocalAddr("127.0.0.1:0"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rcv.Close()
-	snd, err := NewUDPRunner(cfg, RoleSender,
-		WithLocalAddr("127.0.0.1:0"), WithPeer(rcv.LocalAddr().String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer snd.Close()
+// TestUDPRunnerLoopbackTransfer exercises the sans-IO engine over real
+// UDP sockets on loopback: a bounded TACK-mode transfer must complete and
+// deliver every byte.
+func TestUDPRunnerLoopbackTransfer(t *testing.T) {
+	const size = 256 << 10
+	loopbackTransfer(t,
+		transport.Config{Mode: transport.ModeTACK, TransferBytes: size, CC: "cubic"},
+		transport.Config{Mode: transport.ModeTACK, TransferBytes: size})
+}
 
-	go rcv.Run(20 * time.Second)
-	if err := snd.Run(20 * time.Second); err != nil {
-		t.Fatalf("sender: %v", err)
-	}
-	if !snd.Sender.Done() {
-		t.Fatal("sender did not finish")
-	}
+// TestUDPRunnerLegacyMode runs the same loopback transfer in legacy mode.
+func TestUDPRunnerLegacyMode(t *testing.T) {
+	cfg := transport.Config{Mode: transport.ModeLegacy, TransferBytes: 128 << 10}
+	loopbackTransfer(t, cfg, cfg)
 }
 
 func TestUDPRunnerBadAddrs(t *testing.T) {
-	if _, err := NewUDPRunner(transport.Config{}, RoleReceiver, WithLocalAddr("not-an-addr")); err == nil {
+	if _, err := Listen("not-an-addr", Config{}); err == nil {
 		t.Fatal("bad local addr should error")
 	}
-	if _, err := NewUDPRunner(transport.Config{}, RoleSender,
-		WithLocalAddr("127.0.0.1:0"), WithPeer("also-bad")); err == nil {
-		t.Fatal("bad remote addr should error")
+	ep, err := Listen("127.0.0.1:0", Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewUDPRunner(transport.Config{}, RoleSender); err == nil {
-		t.Fatal("sender without peer should error")
+	defer ep.Close()
+	if _, err := ep.Dial("also-bad"); err == nil {
+		t.Fatal("bad remote addr should error")
 	}
 }
 

@@ -257,13 +257,6 @@ func (sh *shard) onPacket(p *packet.Packet, from *net.UDPAddr) {
 	}
 	c.advance()
 	if c.snd != nil {
-		if a := p.Ack; a != nil && a.CumAck > c.snd.SentSeq() {
-			// Misbehaving-receiver guard: an optimistic acknowledgment
-			// claims bytes never sent; acting on it would inflate the
-			// congestion controller (receiver-driven DoS).
-			sh.ep.mBadFeedback.Inc()
-			return
-		}
 		c.snd.OnPacket(p)
 	}
 	if c.rcv != nil {

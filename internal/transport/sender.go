@@ -103,6 +103,7 @@ type Sender struct {
 	mAckBytes       *telemetry.Counter
 	mLossEpisodes   *telemetry.Counter
 	mSYNRetrans     *telemetry.Counter
+	mBadFeedback    *telemetry.Counter
 	mRTT            *telemetry.Histogram
 	mRackMarked     *telemetry.Counter
 	mRackReorder    *telemetry.Counter
@@ -148,6 +149,7 @@ func NewSender(loop *sim.Loop, cfg Config, out Output) (*Sender, error) {
 		mAckBytes:     cfg.Metrics.Counter("snd.ack_bytes_received"),
 		mLossEpisodes: cfg.Metrics.Counter("snd.loss_episodes"),
 		mSYNRetrans:   cfg.Metrics.Counter("snd.syn_retransmits"),
+		mBadFeedback:  cfg.Metrics.Counter("snd.bad_feedback"),
 		mRTT:          cfg.Metrics.Histogram("snd.rtt_s"),
 		mRackMarked:   cfg.Metrics.Counter("snd.rack.marked_lost"),
 		mRackReorder:  cfg.Metrics.Counter("snd.rack.reorder_events"),
@@ -738,19 +740,36 @@ func (s *Sender) OnPathMigration() {
 func (s *Sender) OnPacket(p *packet.Packet) {
 	switch p.Type {
 	case packet.TypeSYNACK:
-		// Feedback overhead accounting (ACK bytes per delivered MB):
-		// every ack-bearing packet the sender absorbs counts at its wire
-		// encoding size.
-		n := int64(p.EncodedLen())
-		s.Stats.AckBytesReceived += n
-		s.mAckBytes.Add(n)
-		s.onSynAck(p)
+		if s.admitFeedback(p) {
+			s.onSynAck(p)
+		}
 	case packet.TypeTACK, packet.TypeIACK, packet.TypeFINACK:
-		n := int64(p.EncodedLen())
-		s.Stats.AckBytesReceived += n
-		s.mAckBytes.Add(n)
-		s.onAck(p)
+		if s.admitFeedback(p) {
+			s.onAck(p)
+		}
 	}
+}
+
+// admitFeedback is the misbehaving-receiver guard: an acknowledgment
+// claiming bytes or packets never sent is dropped before it touches any
+// state, since acting on it would inflate the congestion controller or
+// release unreceived data (receiver-driven DoS). In TACK mode the largest
+// packet number seen must be one the sender minted; packet.Sane already
+// bounds the blocks, CumPktSeq and ReportedThrough by it. An honest
+// receiver reports 0 when it has seen nothing, so 0 means none. Admitted
+// packets count toward the feedback overhead (ACK bytes per delivered MB)
+// at their wire encoding size.
+func (s *Sender) admitFeedback(p *packet.Packet) bool {
+	if a := p.Ack; a != nil && (a.CumAck > s.nextSeq ||
+		s.cfg.Mode == ModeTACK && a.LargestPktSeq > 0 && a.LargestPktSeq >= s.nextPktSeq) {
+		s.Stats.BadFeedback++
+		s.mBadFeedback.Inc()
+		return false
+	}
+	n := int64(p.EncodedLen())
+	s.Stats.AckBytesReceived += n
+	s.mAckBytes.Add(n)
+	return true
 }
 
 func (s *Sender) onSynAck(p *packet.Packet) {
@@ -867,9 +886,6 @@ func (s *Sender) onAck(p *packet.Packet) {
 		s.Stats.IACKsReceived++
 	}
 	s.ackLoss.OnAck(a.AckSeq)
-
-	prevInflight := s.inflight()
-	_ = prevInflight
 
 	// --- Release acknowledged data. ---
 	var ackFloor sim.Time
@@ -1326,20 +1342,9 @@ func (s *Sender) CumAcked() uint64 { return s.cumAcked }
 // AckPathLossRate returns the sender's ρ′ estimate.
 func (s *Sender) AckPathLossRate() float64 { return s.ackLoss.Rate() }
 
-// BufSegment exposes the send-buffer segment starting at byte seq
-// (diagnostics and experiments only).
-func (s *Sender) BufSegment(seq uint64) *buffer.Segment { return s.buf.BySeq(seq) }
-
-// MarkedCount returns how many segments are currently loss-marked.
-func (s *Sender) MarkedCount() int { return len(s.buf.LossMarked()) }
-
 // OldestOutstanding returns the sender's oldest outstanding packet number
 // (diagnostics only).
 func (s *Sender) OldestOutstanding() uint64 { return s.buf.OldestPktSeq(s.nextPktSeq) }
-
-// BufByPkt exposes the segment currently transmitted as pktSeq
-// (diagnostics only).
-func (s *Sender) BufByPkt(pktSeq uint64) *buffer.Segment { return s.buf.ByPktSeq(pktSeq) }
 
 // ReleasedBytes exposes the cumulative acknowledged payload bytes
 // (diagnostics only).

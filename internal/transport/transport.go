@@ -426,6 +426,7 @@ type SenderStats struct {
 	SYNRetransmits int // SYNs re-sent under the handshake backoff schedule
 	RackMarked     int // segments marked lost by RACK time-based detection
 	TLPProbes      int // tail loss probes transmitted
+	BadFeedback    int // acknowledgments dropped for claiming more than was sent
 	// FEC accounting: repair groups opened, REPAIR packets and bytes
 	// actually transmitted, and repairs evicted from the fill queue
 	// before the pacer could flush them.
