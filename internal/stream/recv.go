@@ -46,7 +46,7 @@ type RecvMux struct {
 	lastNow  sim.Time
 
 	mOpened, mClosed, mFrames, mBytes, mViolations, mLimitDrops, mUpdates *telemetry.Counter
-	gActive                                                              *telemetry.Gauge
+	gActive                                                               *telemetry.Gauge
 
 	connID uint32
 	tracer *telemetry.Tracer
@@ -116,7 +116,7 @@ func (m *RecvMux) OnFrame(now sim.Time, sid uint32, off uint64, payload []byte, 
 			mux:  m,
 			id:   sid,
 			rb:   buffer.NewReceiveBuffer(m.cfg.RecvWindow),
-			ring: make([]byte, m.cfg.RecvWindow),
+			data: ring{buf: make([]byte, m.cfg.RecvWindow)},
 		}
 		s.cond = sync.NewCond(&m.mu)
 		m.streams[sid] = s
@@ -138,22 +138,15 @@ func (m *RecvMux) OnFrame(now sim.Time, sid uint32, off uint64, payload []byte, 
 	}
 	// Copy the in-window overlap into the data ring. Duplicate bytes from
 	// overlapping retransmissions overwrite identical content.
-	w := uint64(len(s.ring))
 	lo, hi := off, off+uint64(len(payload))
 	if lo < s.base {
 		lo = s.base
 	}
-	if hi > s.base+w {
+	if w := uint64(len(s.data.buf)); hi > s.base+w {
 		hi = s.base + w // unreachable: Offer refused overflow already
 	}
-	for lo < hi {
-		pos := lo % w
-		run := w - pos
-		if run > hi-lo {
-			run = hi - lo
-		}
-		copy(s.ring[pos:pos+run], payload[lo-off:])
-		lo += run
+	if lo < hi {
+		s.data.write(lo, payload[lo-off:hi-off])
 	}
 	if fin {
 		s.rb.OnFIN(off + uint64(len(payload)))
@@ -339,10 +332,11 @@ type RecvStream struct {
 	mux *RecvMux
 	id  uint32
 
-	// rb tracks received ranges and the FIN in stream-offset space; ring
-	// holds the data bytes for offsets [base, base+len(ring)).
+	// rb tracks received ranges and the FIN in stream-offset space; data
+	// is a fixed window-sized ring holding the bytes for offsets
+	// [base, base+RecvWindow).
 	rb   *buffer.ReceiveBuffer
-	ring []byte
+	data ring
 	base uint64 // == rb.Delivered(): first unconsumed offset
 
 	lastAdvert uint64
@@ -398,17 +392,7 @@ func (s *RecvStream) readLocked(p []byte) (n int, eof bool, err error) {
 		avail = len(p)
 	}
 	if avail > 0 {
-		w := uint64(len(s.ring))
-		lo, hi := s.base, s.base+uint64(avail)
-		for lo < hi {
-			pos := lo % w
-			run := w - pos
-			if run > hi-lo {
-				run = hi - lo
-			}
-			copy(p[lo-s.base:], s.ring[pos:pos+run])
-			lo += run
-		}
+		s.data.read(p[:avail], s.base)
 		s.rb.Read(avail)
 		s.base += uint64(avail)
 		m.buffered -= avail

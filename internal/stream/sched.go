@@ -55,9 +55,16 @@ func (r *rrSched) Peek() *SendStream {
 }
 
 // Consumed rotates the serviced stream to the back (or drops it when it
-// has nothing left to frame).
+// has nothing left to frame). A lone stream stays put, so a stream that
+// drains and refills does not reallocate the queue on every frame.
 func (r *rrSched) Consumed(s *SendStream, n int, still bool) {
 	if len(r.q) == 0 || r.q[0] != s {
+		return
+	}
+	if len(r.q) == 1 {
+		if !still {
+			r.q = r.q[:0]
+		}
 		return
 	}
 	r.q = r.q[1:]
@@ -106,8 +113,8 @@ func (h prioHeap) Less(i, j int) bool {
 	}
 	return h[i].id < h[j].id
 }
-func (h prioHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *prioHeap) Push(x any)        { *h = append(*h, x.(*SendStream)) }
+func (h prioHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *prioHeap) Push(x any)   { *h = append(*h, x.(*SendStream)) }
 func (h *prioHeap) Pop() any {
 	old := *h
 	n := len(old)

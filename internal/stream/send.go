@@ -127,7 +127,9 @@ func (m *SendMux) closeErrLocked() error {
 }
 
 // Close tears the mux down: every stream errors out and blocked writers
-// wake. Frames already handed to the sender are unaffected.
+// wake. Frames already handed to the sender are unaffected: a stream keeps
+// its retained bytes until every framed byte is acknowledged, so a
+// lingering connection can still retransmit them.
 func (m *SendMux) Close(err error) {
 	if err == nil {
 		err = ErrClosed
@@ -143,6 +145,7 @@ func (m *SendMux) Close(err error) {
 		if s.closedErr == nil {
 			s.closedErr = err
 		}
+		s.releaseLocked()
 		s.cond.Broadcast()
 	}
 }
@@ -161,10 +164,10 @@ func (m *SendMux) frameable(s *SendStream) bool {
 	if s.closedErr != nil || s.done {
 		return false
 	}
-	if s.next < s.writeEnd() && s.next < s.limit {
+	if s.next < s.end && s.next < s.limit {
 		return true
 	}
-	return s.fin && !s.finFramed && s.next == s.writeEnd()
+	return s.fin && !s.finFramed && s.next == s.end
 }
 
 // scheduleLocked queues s if it is frameable and not already queued,
@@ -198,7 +201,7 @@ func (m *SendMux) peekLocked() *SendStream {
 // capped at max.
 func (m *SendMux) frameLenLocked(s *SendStream, max int) int {
 	n := uint64(max)
-	if avail := s.writeEnd() - s.next; avail < n {
+	if avail := s.end - s.next; avail < n {
 		n = avail
 	}
 	if credit := s.limit - s.next; s.limit > s.next && credit < n {
@@ -222,7 +225,7 @@ func (m *SendMux) NextFrameLen(max int) (n int, ok bool) {
 		return 0, false
 	}
 	n = m.frameLenLocked(s, max)
-	if s.fin && !s.finFramed && s.next+uint64(n) == s.writeEnd() {
+	if s.fin && !s.finFramed && s.next+uint64(n) == s.end {
 		n++ // FIN phantom byte
 	}
 	return n, true
@@ -242,10 +245,11 @@ func (m *SendMux) NextFrame(now sim.Time, max int) (Frame, bool) {
 	n := m.frameLenLocked(s, max)
 	fr := Frame{ID: s.id, Off: s.next, FEC: s.fec}
 	if n > 0 {
-		fr.Data = append(make([]byte, 0, n), s.data[s.next-s.dataOff:][:n]...)
+		fr.Data = make([]byte, n)
+		s.data.read(fr.Data, s.next)
 		s.next += uint64(n)
 	}
-	if s.fin && !s.finFramed && s.next == s.writeEnd() {
+	if s.fin && !s.finFramed && s.next == s.end {
 		fr.FIN = true
 		s.finFramed = true
 	}
@@ -269,16 +273,19 @@ func (m *SendMux) FrameData(sid uint32, off uint64, n int) []byte {
 	if s == nil || n <= 0 {
 		return nil
 	}
-	if off < s.dataOff || off+uint64(n) > s.writeEnd() {
+	if off < s.ackedBase || off+uint64(n) > s.end {
 		return nil // defensive: the range is no longer retained
 	}
-	return append(make([]byte, 0, n), s.data[off-s.dataOff:][:n]...)
+	out := make([]byte, n)
+	s.data.read(out, off)
+	return out
 }
 
 // OnFrameAcked releases n acknowledged stream-data bytes of [off, off+n)
 // on stream sid (fin reports the frame carried the stream FIN). Fully
 // acknowledged closed streams are retired; blocked writers wake as
-// retained data is trimmed.
+// retained data is trimmed. Trimming only advances the ring's start
+// offset, so the cost is independent of how much data is retained.
 func (m *SendMux) OnFrameAcked(now sim.Time, sid uint32, off uint64, n int, fin bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -297,22 +304,18 @@ func (m *SendMux) OnFrameAcked(now sim.Time, sid uint32, off uint64, n int, fin 
 	if base > s.ackedBase {
 		s.ackedBase = base
 		s.acked.RemoveBelow(base)
-		if drop := int(s.ackedBase - s.dataOff); drop > 0 {
-			kept := copy(s.data, s.data[drop:])
-			s.data = s.data[:kept]
-			s.dataOff = s.ackedBase
-		}
 		s.cond.Broadcast()
 	}
-	if s.fin && s.finAcked && s.ackedBase == s.writeEnd() {
+	if s.fin && s.finAcked && s.ackedBase == s.end {
 		s.done = true
 		delete(m.streams, sid)
 		m.active--
 		m.gActive.Set(float64(m.active))
 		m.mClosed.Inc()
-		m.deps.Tracer.StreamClosed(now, m.deps.ConnID, sid, s.writeEnd())
+		m.deps.Tracer.StreamClosed(now, m.deps.ConnID, sid, s.end)
 		s.cond.Broadcast()
 	}
+	s.releaseLocked()
 }
 
 // OnWindowAdverts applies the peer's per-stream flow-control
@@ -390,15 +393,22 @@ type SendStream struct {
 	deficit int
 	queued  bool
 
-	// data retains bytes [dataOff, dataOff+len(data)) — everything
-	// written but not yet contiguously acknowledged.
-	data    []byte
-	dataOff uint64
+	// data retains bytes [ackedBase, end) — everything written but not
+	// yet contiguously acknowledged — in a ring addressed by stream
+	// offset. It grows by doubling up to cfg.SendBuffer (a cap, not an
+	// up-front allocation), an acknowledgment trims it by advancing
+	// ackedBase alone, and releaseLocked frees it once no byte in it can
+	// be framed or retransmitted again.
+	data ring
+	// end is the offset one past the last written byte.
+	end uint64
 	// next is the first never-framed offset.
 	next uint64
 	// limit is the peer-advertised absolute flow-control limit.
 	limit uint64
 
+	// acked holds the selectively acknowledged ranges above ackedBase,
+	// the contiguous acknowledgment point.
 	acked     seqspace.RangeSet
 	ackedBase uint64
 
@@ -414,15 +424,28 @@ type SendStream struct {
 // ID returns the stream identifier.
 func (s *SendStream) ID() uint32 { return s.id }
 
-// writeEnd is the offset one past the last written byte.
-func (s *SendStream) writeEnd() uint64 { return s.dataOff + uint64(len(s.data)) }
-
 // BufferedBytes returns the retained (written, not yet contiguously
 // acknowledged) byte count.
 func (s *SendStream) BufferedBytes() int {
 	s.mux.mu.Lock()
 	defer s.mux.mu.Unlock()
-	return len(s.data)
+	return int(s.end - s.ackedBase)
+}
+
+// minSendRing is the smallest ring a stream allocates, so a run of tiny
+// writes does not regrow it on each one.
+const minSendRing = 512
+
+// releaseLocked frees the ring once nothing in it can be framed or
+// retransmitted again: every framed byte is acknowledged, and the stream
+// has either retired or been torn down with its mux (a torn-down stream
+// frames nothing more, so its unframed bytes are dropped). A finished
+// stream then pins no buffer for as long as the application holds it.
+func (s *SendStream) releaseLocked() {
+	if s.ackedBase == s.next && (s.done || s.closedErr != nil) {
+		s.data = ring{}
+		s.end = s.next
+	}
 }
 
 // Write appends b to the stream, blocking while the per-stream send
@@ -441,16 +464,21 @@ func (s *SendStream) Write(b []byte) (int, error) {
 		if s.fin {
 			return total, ErrClosed
 		}
-		room := m.cfg.SendBuffer - len(s.data)
+		buffered := int(s.end - s.ackedBase)
+		room := m.cfg.SendBuffer - buffered
 		if room <= 0 {
 			s.cond.Wait()
 			continue
 		}
-		n := len(b)
-		if n > room {
-			n = room
+		n := min(len(b), room)
+		if need := buffered + n; need > len(s.data.buf) {
+			// Grow by doubling, capped at the buffer limit: growth is
+			// the only time retained bytes move.
+			size := min(max(2*len(s.data.buf), need, minSendRing), m.cfg.SendBuffer)
+			s.data.resize(size, s.ackedBase, buffered)
 		}
-		s.data = append(s.data, b[:n]...)
+		s.data.write(s.end, b[:n])
+		s.end += uint64(n)
 		b = b[n:]
 		total += n
 		if m.scheduleLocked(s) && m.kick != nil {

@@ -81,8 +81,9 @@ type Config struct {
 	// counted); local Open calls fail. Must be positive.
 	MaxStreams int
 	// SendBuffer is the per-stream retained-data cap in bytes: Write
-	// blocks once this many unacknowledged bytes are buffered. Zero
-	// selects DefaultSendBuffer.
+	// blocks once this many unacknowledged bytes are buffered. The
+	// stream's send ring grows to it on demand rather than allocating it
+	// up front. Zero selects DefaultSendBuffer.
 	SendBuffer int
 	// Scheduler selects the send scheduler: SchedulerRoundRobin (default
 	// when empty), SchedulerPriority, or SchedulerWeighted.
